@@ -3,9 +3,9 @@
 //! after the test suite as a release-build cross-check of the decoding
 //! plane's two invariants:
 //!
-//! 1. The `i8` decoder is bit-exact between the detected SIMD tier and
-//!    the forced-scalar tier (same info bits, success flag, iterations).
-//! 2. The `i8` plane agrees with the `f32` reference: clean codewords
+//! 1. Both decoders are bit-exact between the detected SIMD tier and the
+//!    forced-scalar tier (same info bits, success flag, iterations).
+//! 2. The `i8` plane agrees with the `f32` decoder: clean codewords
 //!    decode perfectly on both, and at operating SNR both land on the
 //!    transmitted bits.
 
@@ -53,6 +53,7 @@ fn main() {
         let enc = Encoder::new(bg, z);
         let rm = RateMatch::for_rate(bg, z, 1.0 / 3.0);
         let mut dec_f32 = Decoder::new(bg, z);
+        let mut dec_f32_scalar = Decoder::with_tier(bg, z, SimdTier::Scalar);
         let mut dec_i8 = DecoderI8::new(bg, z);
         let mut dec_i8_scalar = DecoderI8::with_tier(bg, z, SimdTier::Scalar);
         let mut rng = StdRng::seed_from_u64(0xA60A + z as u64);
@@ -85,9 +86,17 @@ fn main() {
                 ..Default::default()
             };
             let rf = dec_f32.decode(&full_f32, &cfg_f32);
+            let rfs = dec_f32_scalar.decode(&full_f32, &cfg_f32);
             let ri = dec_i8.decode(&full_i8, &cfg_i8);
             let rs = dec_i8_scalar.decode(&full_i8, &cfg_i8);
 
+            if rf.info_bits != rfs.info_bits
+                || rf.success != rfs.success
+                || rf.iterations != rfs.iterations
+            {
+                println!("FAIL {bg:?} Z={z} word {word}: f32 tiers diverge (detected vs scalar)");
+                failures += 1;
+            }
             if ri.info_bits != rs.info_bits
                 || ri.success != rs.success
                 || ri.iterations != rs.iterations
@@ -96,7 +105,7 @@ fn main() {
                 failures += 1;
             }
             if !rf.success || rf.info_bits != info {
-                println!("FAIL {bg:?} Z={z} word {word}: f32 reference missed the codeword");
+                println!("FAIL {bg:?} Z={z} word {word}: f32 decoder missed the codeword");
                 failures += 1;
             }
             if !ri.success || ri.info_bits != info {

@@ -874,7 +874,8 @@ impl Kernels {
     /// LDPC decode task for one (symbol, user). Routes through the f32
     /// layered decoder or, with `ablation.quantized_decoder`, the
     /// Z-lane-vectorised i8 decoder reading the quantised LLR plane. Both
-    /// paths re-inflate into reusable scratch — no hot-path allocation.
+    /// paths re-inflate into reusable scratch and decode straight into
+    /// the frame's `decoded` slice — no hot-path allocation.
     pub fn decode_task(
         &self,
         fb: &FrameBuffers,
@@ -884,32 +885,36 @@ impl Kernels {
     ) {
         let g = &self.geom;
         let tx_len = self.rate_match.tx_len();
-        let res = if self.cfg.ablation.quantized_decoder {
+        // SAFETY: each (symbol, user) decoded block is written by exactly
+        // one decode task.
+        let out = unsafe { fb.decoded.slice_mut(fb.decoded_range(g, symbol, user)) };
+        let (success, _) = if self.cfg.ablation.quantized_decoder {
             let llr = unsafe { fb.llr_i8.slice(fb.llr_range(g, symbol, user)) };
             self.rate_match.fill_llrs_into(&llr[..tx_len], &mut s.full_llr_i8);
-            s.decoder_i8.decode(
+            s.decoder_i8.decode_into(
                 &s.full_llr_i8,
                 &DecodeConfigI8 {
                     max_iters: self.cfg.cell.ldpc.max_iters,
                     active_rows: Some(self.rate_match.active_rows()),
                     ..Default::default()
                 },
+                out,
             )
         } else {
             let llr = unsafe { fb.llr.slice(fb.llr_range(g, symbol, user)) };
             self.rate_match.fill_llrs_into(&llr[..tx_len], &mut s.full_llr);
-            s.decoder.decode(
+            s.decoder.decode_into(
                 &s.full_llr,
                 &DecodeConfig {
                     max_iters: self.cfg.cell.ldpc.max_iters,
                     active_rows: Some(self.rate_match.active_rows()),
                     ..Default::default()
                 },
+                out,
             )
         };
         unsafe {
-            fb.decoded.slice_mut(fb.decoded_range(g, symbol, user)).copy_from_slice(&res.info_bits);
-            fb.decode_ok.write(symbol * g.k + user, res.success as u8);
+            fb.decode_ok.write(symbol * g.k + user, success as u8);
         }
     }
 

@@ -224,6 +224,7 @@ impl BaseGraph {
         // evaluation lifting sizes. Shift bookkeeping per (row, col).
         const CHECK_Z: [usize; 3] = [104, 384, 52];
         let mut entries: Vec<BaseEntry> = Vec::new();
+        let mut at = EntryIndex::new(rows, cols);
         for (r, cols_in_row) in support.iter().enumerate() {
             let mut sorted = cols_in_row.clone();
             sorted.sort_unstable();
@@ -243,13 +244,14 @@ impl BaseGraph {
                     // entries at the checked lifting sizes.
                     let mut v = (rng.next_u64() % MAX_Z as u64) as u16;
                     for _attempt in 0..64 {
-                        if !creates_4_cycle(&entries, r as u16, c, v, &CHECK_Z) {
+                        if !creates_4_cycle(&entries, &at, r as u16, c, v, &CHECK_Z) {
                             break;
                         }
                         v = (rng.next_u64() % MAX_Z as u64) as u16;
                     }
                     v
                 };
+                at.insert(r as u16, c, entries.len());
                 entries.push(BaseEntry { row: r as u16, col: c, shift });
             }
         }
@@ -257,7 +259,7 @@ impl BaseGraph {
         // 3. Repair pass: draw-time checks cannot see fixed-shift entries
         // that are placed later in the same row (core parity columns), so
         // sweep for residual 4-cycles and redraw one drawn entry of each.
-        repair_4_cycles(&mut entries, kb, &CHECK_Z, &mut rng);
+        repair_4_cycles(&mut entries, &at, kb, &CHECK_Z, &mut rng);
 
         // 4. Build the row index.
         let mut row_start = vec![0usize; rows + 1];
@@ -272,13 +274,42 @@ impl BaseGraph {
     }
 }
 
+/// `(row, col)` -> position in the entry list, so the 4-cycle searches
+/// find the block closing a cycle without scanning every entry. Each
+/// `(row, col)` holds at most one entry, and the repair pass changes only
+/// shifts, so positions stay valid once inserted.
+struct EntryIndex {
+    cols: usize,
+    slot: Vec<Option<usize>>,
+}
+
+impl EntryIndex {
+    fn new(rows: usize, cols: usize) -> Self {
+        Self { cols, slot: vec![None; rows * cols] }
+    }
+
+    fn insert(&mut self, row: u16, col: u16, idx: usize) {
+        self.slot[row as usize * self.cols + col as usize] = Some(idx);
+    }
+
+    fn get(&self, row: u16, col: u16) -> Option<usize> {
+        self.slot[row as usize * self.cols + col as usize]
+    }
+}
+
 /// Finds residual 4-cycles at the checked lifting sizes and redraws the
 /// shift of one *redrawable* participating entry (information columns, or
 /// core-parity columns inside extension rows — never the fixed encoding
 /// core or the identity diagonal). Iterates until clean or a generous
 /// attempt budget runs out; the budget is never hit for the shipped seeds,
 /// and the test suite asserts zero cycles.
-fn repair_4_cycles(entries: &mut [BaseEntry], kb: usize, zs: &[usize], rng: &mut SplitMix) {
+fn repair_4_cycles(
+    entries: &mut [BaseEntry],
+    at: &EntryIndex,
+    kb: usize,
+    zs: &[usize],
+    rng: &mut SplitMix,
+) {
     'outer: for _pass in 0..1000 {
         // Locate the first 4-cycle: rows (r1, r2), shared cols (c1, c2).
         for a in 0..entries.len() {
@@ -293,9 +324,7 @@ fn repair_4_cycles(entries: &mut [BaseEntry], kb: usize, zs: &[usize], rng: &mut
                     if f1.row == e1.row || f1.col != e1.col {
                         continue;
                     }
-                    if let Some(d) =
-                        entries.iter().position(|f2| f2.row == f1.row && f2.col == e2.col)
-                    {
+                    if let Some(d) = at.get(f1.row, e2.col) {
                         let f2 = entries[d];
                         let cyclic = zs.iter().any(|&z| {
                             let zi = z as i64;
@@ -321,7 +350,7 @@ fn repair_4_cycles(entries: &mut [BaseEntry], kb: usize, zs: &[usize], rng: &mut
                         // fixed ones included).
                         for _ in 0..256 {
                             entries[victim].shift = (rng.next_u64() % MAX_Z as u64) as u16;
-                            if !participates_in_4_cycle(entries, victim, zs) {
+                            if !participates_in_4_cycle(entries, at, victim, zs) {
                                 break;
                             }
                         }
@@ -336,11 +365,16 @@ fn repair_4_cycles(entries: &mut [BaseEntry], kb: usize, zs: &[usize], rng: &mut
 
 /// True if `entries[idx]` participates in any 4-cycle at any checked
 /// lifting size, considering every other entry (fixed or drawn).
-fn participates_in_4_cycle(entries: &[BaseEntry], idx: usize, zs: &[usize]) -> bool {
+fn participates_in_4_cycle(
+    entries: &[BaseEntry],
+    at: &EntryIndex,
+    idx: usize,
+    zs: &[usize],
+) -> bool {
     let e1 = entries[idx];
     for e2 in entries.iter().filter(|e| e.row == e1.row && e.col != e1.col) {
         for f1 in entries.iter().filter(|f| f.row != e1.row && f.col == e1.col) {
-            if let Some(f2) = entries.iter().find(|f| f.row == f1.row && f.col == e2.col) {
+            if let Some(f2) = at.get(f1.row, e2.col).map(|i| entries[i]) {
                 for &z in zs {
                     let zi = z as i64;
                     let delta = (e1.shift as i64 % zi - f1.shift as i64 % zi)
@@ -357,14 +391,21 @@ fn participates_in_4_cycle(entries: &[BaseEntry], idx: usize, zs: &[usize]) -> b
 
 /// Returns true if placing `(row, col, shift)` would close a 4-cycle with
 /// existing entries at any of the checked lifting sizes.
-fn creates_4_cycle(entries: &[BaseEntry], row: u16, col: u16, shift: u16, zs: &[usize]) -> bool {
+fn creates_4_cycle(
+    entries: &[BaseEntry],
+    at: &EntryIndex,
+    row: u16,
+    col: u16,
+    shift: u16,
+    zs: &[usize],
+) -> bool {
     // A 4-cycle uses rows (r0, row) and columns (c0, col) with all four
     // blocks present: (r0,c0) (r0,col) (row,c0) (row,col=candidate).
     for e_same_col in entries.iter().filter(|e| e.col == col && e.row != row) {
         let r0 = e_same_col.row;
         for e_r0 in entries.iter().filter(|e| e.row == r0 && e.col != col) {
             let c0 = e_r0.col;
-            if let Some(e_row_c0) = entries.iter().find(|e| e.row == row && e.col == c0) {
+            if let Some(e_row_c0) = at.get(row, c0).map(|i| entries[i]) {
                 for &z in zs {
                     let d = (e_r0.shift as i64 % z as i64 - e_same_col.shift as i64 % z as i64)
                         - (e_row_c0.shift as i64 % z as i64 - shift as i64 % z as i64);
@@ -425,6 +466,29 @@ mod tests {
         let a = BaseGraph::build(BaseGraphId::Bg1);
         let b = BaseGraph::build(BaseGraphId::Bg1);
         assert_eq!(a.entries, b.entries);
+    }
+
+    /// FNV-1a over every entry's `(row, col, shift)`.
+    fn fingerprint(bg: &BaseGraph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for e in bg.entries() {
+            for b in [e.row, e.col, e.shift].iter().flat_map(|v| v.to_le_bytes()) {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn graphs_are_pinned() {
+        // Every stored codeword, result file and decoder figure depends on
+        // the exact generated shifts: construction changes must not move
+        // them.
+        let bg1 = BaseGraph::get(BaseGraphId::Bg1);
+        let bg2 = BaseGraph::get(BaseGraphId::Bg2);
+        assert_eq!((bg1.entries().len(), fingerprint(bg1)), (363, 0xa831_41ba_38d1_0628));
+        assert_eq!((bg2.entries().len(), fingerprint(bg2)), (279, 0x1a7c_c4a0_8f00_721d));
     }
 
     #[test]

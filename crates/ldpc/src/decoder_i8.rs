@@ -32,6 +32,7 @@
 
 use crate::base_graph::{BaseGraph, BaseGraphId};
 use crate::decoder::DecodeResult;
+use crate::lifted::{self, LiftedRows};
 use agora_math::simd::SimdTier;
 
 /// Largest representable quantised LLR magnitude. The domain is the
@@ -68,6 +69,9 @@ pub const I8_MSG_MAX: i8 = 31;
 /// outweighs it — the 6-bit channel / 6-bit message split hardware
 /// decoders use, with the tie broken toward correction.
 pub const I8_CHAN_MAX: i8 = I8_MSG_MAX - 1;
+
+/// `i8` lanes per AVX2 vector; per-lane arrays are padded to a multiple.
+const LANES: usize = 32;
 
 /// Quantises `f32` LLRs to saturating `i8` with the given scale.
 /// Values round to nearest and clamp to `[-127, 127]`; non-finite inputs
@@ -110,11 +114,13 @@ pub struct DecoderI8 {
     bg: &'static BaseGraph,
     z: usize,
     tier: SimdTier,
-    /// Per-edge check-to-variable messages, `[entry][z]`.
+    lifted: LiftedRows,
+    /// Per-edge check-to-variable messages, `[entry][stride]` (lanes
+    /// padded to whole vectors, see [`LiftedRows::stride`]).
     msgs: Vec<i8>,
     /// Posterior LLRs, `[col][z]`.
     post: Vec<i8>,
-    /// Per-row extrinsic scratch, `[row slot][z]` (max row degree slots).
+    /// Per-row extrinsic scratch, `[row slot][stride]` (max row degree slots).
     t: Vec<i8>,
     /// Per-lane smallest |extrinsic| of the current row.
     min1: Vec<i8>,
@@ -124,6 +130,10 @@ pub struct DecoderI8 {
     min_pos: Vec<u8>,
     /// Per-lane sign-product mask: 0x00 even #negatives, 0xFF odd.
     signs: Vec<u8>,
+    /// Hard decisions of `post` (syndrome check scratch).
+    hard: Vec<u8>,
+    /// Per-lane parity of one row (syndrome check scratch).
+    parity: Vec<u8>,
 }
 
 impl DecoderI8 {
@@ -138,18 +148,22 @@ impl DecoderI8 {
     pub fn with_tier(id: BaseGraphId, z: usize, tier: SimdTier) -> Self {
         assert!(z >= 2, "lifting size must be at least 2");
         let bg = BaseGraph::get(id);
-        let max_deg = (0..bg.rows()).map(|r| bg.row_entries(r).len()).max().unwrap_or(0);
+        let lifted = LiftedRows::new(bg, z, LANES);
+        let stride = lifted.stride();
         Self {
             bg,
             z,
             tier,
-            msgs: vec![0; bg.entries().len() * z],
+            msgs: vec![0; lifted.msg_len()],
             post: vec![0; bg.cols() * z],
-            t: vec![0; max_deg * z],
-            min1: vec![0; z],
-            min2: vec![0; z],
-            min_pos: vec![0; z],
-            signs: vec![0; z],
+            t: vec![0; lifted.max_degree() * stride],
+            min1: vec![0; stride],
+            min2: vec![0; stride],
+            min_pos: vec![0; stride],
+            signs: vec![0; stride],
+            hard: vec![0; bg.cols() * z],
+            parity: vec![0; z],
+            lifted,
         }
     }
 
@@ -171,12 +185,31 @@ impl DecoderI8 {
     /// Decodes from quantised channel LLRs (positive = bit 0 more likely),
     /// length [`Self::codeword_len`]. Punctured/untransmitted bits must
     /// carry LLR 0. Layered schedule, identical message flow to the f32
-    /// [`crate::decoder::Decoder::decode`].
+    /// [`crate::decoder::Decoder::decode`]; see [`Self::decode_into`].
     ///
     /// # Panics
     /// Panics if `llr.len() != self.codeword_len()`.
     pub fn decode(&mut self, llr: &[i8], cfg: &DecodeConfigI8) -> DecodeResult {
+        let mut info_bits = vec![0; self.info_len()];
+        let (success, iterations) = self.decode_into(llr, cfg, &mut info_bits);
+        DecodeResult { info_bits, success, iterations }
+    }
+
+    /// Allocation-free [`Self::decode`]: writes the hard-decision
+    /// information bits into `info_out` and returns
+    /// `(success, iterations)`.
+    ///
+    /// # Panics
+    /// Panics if `llr.len() != self.codeword_len()` or
+    /// `info_out.len() != self.info_len()`.
+    pub fn decode_into(
+        &mut self,
+        llr: &[i8],
+        cfg: &DecodeConfigI8,
+        info_out: &mut [u8],
+    ) -> (bool, usize) {
         assert_eq!(llr.len(), self.codeword_len(), "LLR length mismatch");
+        assert_eq!(info_out.len(), self.info_len(), "info buffer length mismatch");
         let rows = cfg.active_rows.unwrap_or(self.bg.rows()).min(self.bg.rows());
         self.post.copy_from_slice(llr);
         // Confine priors to [-I8_CHAN_MAX, I8_CHAN_MAX]: keeps -128 out of
@@ -188,28 +221,31 @@ impl DecoderI8 {
         self.msgs.fill(0);
 
         let mut iterations = 0;
+        let mut converged = false;
         for _iter in 0..cfg.max_iters {
             iterations += 1;
             for r in 0..rows {
                 self.process_row(r, cfg.offset);
             }
             if cfg.early_termination && self.syndrome_ok(rows) {
+                converged = true;
                 break;
             }
         }
 
-        let success = self.syndrome_ok(rows);
-        let info_bits = self.post[..self.info_len()].iter().map(|&l| (l < 0) as u8).collect();
-        DecodeResult { info_bits, success, iterations }
+        let success = converged || self.syndrome_ok(rows);
+        for (b, &l) in info_out.iter_mut().zip(&self.post) {
+            *b = (l < 0) as u8;
+        }
+        (success, iterations)
     }
 
     /// One layered update of base row `r`: gather rotated posteriors,
     /// compute extrinsics and the per-lane two minima, then scatter the
     /// new messages and posteriors back.
     fn process_row(&mut self, r: usize, offset: i8) {
-        let z = self.z;
-        let row = self.bg.row_entries(r);
-        let entry_base = self.entry_offset(r);
+        let (z, stride) = (self.z, self.lifted.stride());
+        let row = self.lifted.row(r);
         self.min1.fill(I8_LLR_MAX);
         self.min2.fill(I8_LLR_MAX);
         self.min_pos.fill(u8::MAX);
@@ -217,16 +253,11 @@ impl DecoderI8 {
 
         // Phase 1: t_k = sat(post_rot - msg), track mins/signs per lane.
         for (k, e) in row.iter().enumerate() {
-            let shift = e.shift as usize % z;
-            let col = e.col as usize * z;
-            let tk = &mut self.t[k * z..(k + 1) * z];
-            // Rotated gather: tk[i] = post[col + (i + shift) % z].
-            tk[..z - shift].copy_from_slice(&self.post[col + shift..col + z]);
-            tk[z - shift..].copy_from_slice(&self.post[col..col + shift]);
-            let mk = (entry_base + k) * z;
+            let tk = &mut self.t[k * stride..(k + 1) * stride];
+            lifted::gather(&self.post, e, z, tk);
             row_extrinsic(
                 tk,
-                &self.msgs[mk..mk + z],
+                &self.msgs[e.msg..e.msg + stride],
                 &mut self.min1,
                 &mut self.min2,
                 &mut self.min_pos,
@@ -238,13 +269,10 @@ impl DecoderI8 {
 
         // Phase 2: new messages + posterior update, rotated scatter back.
         for (k, e) in row.iter().enumerate() {
-            let shift = e.shift as usize % z;
-            let col = e.col as usize * z;
-            let tk = &mut self.t[k * z..(k + 1) * z];
-            let mk = (entry_base + k) * z;
+            let tk = &mut self.t[k * stride..(k + 1) * stride];
             row_update(
                 tk,
-                &mut self.msgs[mk..mk + z],
+                &mut self.msgs[e.msg..e.msg + stride],
                 &self.min1,
                 &self.min2,
                 &self.min_pos,
@@ -253,34 +281,17 @@ impl DecoderI8 {
                 offset,
                 self.tier,
             );
-            self.post[col + shift..col + z].copy_from_slice(&tk[..z - shift]);
-            self.post[col..col + shift].copy_from_slice(&tk[z - shift..]);
+            lifted::scatter(tk, e, z, &mut self.post);
         }
     }
 
-    /// Index of the first entry of base row `r` in the flat entry array.
-    fn entry_offset(&self, r: usize) -> usize {
-        let base = self.bg.entries().as_ptr() as usize;
-        let row = self.bg.row_entries(r).as_ptr() as usize;
-        (row - base) / core::mem::size_of::<crate::base_graph::BaseEntry>()
-    }
-
-    fn syndrome_ok(&self, rows: usize) -> bool {
-        let z = self.z;
-        for r in 0..rows {
-            for i in 0..z {
-                let mut parity = 0u8;
-                for e in self.bg.row_entries(r) {
-                    let shift = e.shift as usize % z;
-                    let bit = e.col as usize * z + (i + shift) % z;
-                    parity ^= (self.post[bit] < 0) as u8;
-                }
-                if parity != 0 {
-                    return false;
-                }
-            }
+    /// True iff the hard decision of `post` satisfies the first `rows`
+    /// base rows' checks.
+    fn syndrome_ok(&mut self, rows: usize) -> bool {
+        for (h, &l) in self.hard.iter_mut().zip(&self.post) {
+            *h = (l < 0) as u8;
         }
-        true
+        self.lifted.syndrome_ok(&self.hard, &mut self.parity, rows)
     }
 }
 
@@ -663,7 +674,7 @@ mod tests {
 
     #[test]
     fn scalar_tier_decodes_identically_to_detected() {
-        let z = 40; // exercises both the 32-lane SIMD body and the tail
+        let z = 40; // two 32-lane vectors, the second mostly padding
         let enc = Encoder::new(BaseGraphId::Bg1, z);
         let mut dec_a = DecoderI8::with_tier(BaseGraphId::Bg1, z, SimdTier::Scalar);
         let mut dec_b = DecoderI8::with_tier(BaseGraphId::Bg1, z, SimdTier::detect());

@@ -9,7 +9,8 @@
 //!   from TS 38.212).
 //! * [`lifting`]: the standard's 51 lifting sizes and set indices.
 //! * [`encoder`]: linear-time systematic encoder.
-//! * [`decoder`]: offset min-sum BP, layered and flooding schedules.
+//! * [`decoder`]: offset min-sum BP, layered (Z-lane vectorised, AVX2
+//!   fast path, bit-exact scalar fallback) and flooding schedules.
 //! * [`decoder_i8`]: fixed-point (i8) layered min-sum, Z-lane vectorised
 //!   with an AVX2 fast path and bit-exact scalar fallback.
 //! * [`rate_match`]: circular-buffer rate matching and LLR re-inflation.
@@ -21,6 +22,7 @@ pub mod crc;
 pub mod decoder;
 pub mod decoder_i8;
 pub mod encoder;
+mod lifted;
 pub mod lifting;
 pub mod metrics;
 pub mod rate_match;

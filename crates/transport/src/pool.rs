@@ -188,8 +188,14 @@ impl core::fmt::Debug for PooledPacket {
 impl Drop for PooledPacket {
     fn drop(&mut self) {
         // Only the `slots` indices handed out at construction circulate,
-        // and the ring's capacity covers all of them, so this cannot fail.
-        let _ = self.shared.free.push(self.slot);
+        // and the ring's capacity covers all of them, so the free list is
+        // never truly full. A push can still fail for a moment: the ring
+        // slot it needs may be claimed by a consumer that has not yet
+        // released it. Dropping the index would leak the slot, so retry
+        // until that consumer finishes.
+        while self.shared.free.push(self.slot).is_err() {
+            std::thread::yield_now();
+        }
     }
 }
 

@@ -3,26 +3,47 @@
 //! path works out of caller-owned buffers, so after warm-up a
 //! send/receive/drop cycle performs zero heap allocations. A counting
 //! global allocator makes that claim checkable.
+//!
+//! The counter is per thread: libtest runs these tests in parallel (and
+//! its own threads allocate), so a process-wide counter would charge one
+//! test's allocations to the other's window. The fronthaul endpoints
+//! spawn no threads, so every allocation of the measured cycle happens
+//! on the test's own thread and is counted.
 
 use agora_fronthaul::{
     encode, Fronthaul, PacketBuf, PacketDir, PacketHeader, PacketPool, UdpFronthaul,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread. `try_with` because the
+/// allocator can run while a thread's locals are being torn down.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the current thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 /// System allocator with an allocation counter (deallocations are free:
 /// only new heap blocks betray a copy).
 struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the counter
-// is a relaxed atomic with no allocation of its own.
+// is a const-initialised thread-local `Cell` with no destructor, so
+// touching it never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -31,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -97,11 +118,11 @@ fn steady_state_pooled_udp_cycle_is_allocation_free() {
     for _ in 0..WARMUP {
         cycle(&mut outgoing, &mut got);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..MEASURED {
         cycle(&mut outgoing, &mut got);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -172,11 +193,11 @@ fn steady_state_aggregated_pooled_cycle_is_allocation_free() {
     for _ in 0..WARMUP {
         cycle(&mut outgoing, &mut got);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..MEASURED {
         cycle(&mut outgoing, &mut got);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
